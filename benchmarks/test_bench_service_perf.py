@@ -3,10 +3,14 @@
 A load generator (one :class:`~repro.serving.client.AsyncServiceClient`
 connection, ``CONCURRENCY`` requests in flight) drives a live
 :class:`~repro.serving.server.PlanService` through its real TCP front-end
-for every ``workers x mode`` combination in :data:`GRID_AXES` —
+for every ``workers x mode`` combination (:data:`WORKER_COUNTS` x
+:data:`SERVICE_MODES`) —
 ``unbatched`` forces ``max_batch=1`` (every request is its own worker
 round-trip and ledger transaction), ``coalesced`` lets the micro-batching
-coalescer form ``execute_many`` batches. Per cell it records client-side
+coalescer form ``execute_many`` batches with a :data:`MAX_WAIT` linger,
+and ``burst`` does the same with no linger (``max_wait=0``, the service
+default: a bucket flushes at the end of each burst and, under load,
+fills behind the tenant's in-flight batch). Per cell it records client-side
 p50/p99 request latency and wall-clock releases/sec, emits
 ``benchmarks/BENCH_service.json`` (regressable via
 ``benchmarks/check_regression.py --time-field p99_latency_seconds``), and
@@ -15,6 +19,13 @@ asserts the acceptance criterion:
 * **throughput** — 4-worker coalesced serving sustains >=
   :data:`TARGET_COALESCED_SPEEDUP` x the releases/sec of the 1-worker
   unbatched control.
+* **saturated batching without a timer** — every ``burst`` cell sustains
+  >= :data:`TARGET_BURST_SHARE` of the releases/sec of the ``coalesced``
+  cell at the same worker count. The two cells share one service and
+  alternate reps (only the coalescer's linger changes between them), and
+  the share compares releases/sec over all reps
+  (``sustained_releases_per_second``): one rep lasts about 0.1 s, and the
+  best of a few such reps moved by 20% between identical runs.
 * **availability under faults** — an extra ``faults`` cell re-runs the
   4-worker coalesced shape while a chaos task SIGKILLs a random worker
   every :data:`KILL_INTERVAL` seconds; the supervised pool must keep
@@ -68,6 +79,10 @@ OUTPUT_PATH = _HERE / "BENCH_service.json"
 #: Acceptance floor: 4-worker coalesced vs 1-worker unbatched releases/sec.
 TARGET_COALESCED_SPEEDUP = 3.0
 
+#: Acceptance floor: ``burst`` (max_wait=0) vs ``coalesced`` releases/sec
+#: at the same worker count.
+TARGET_BURST_SHARE = 0.9
+
 #: The served plan (one cell shape; the grid varies the service, not the
 #: workload): WRelated 32x256, rank 4, answered by the Laplace mechanism so
 #: per-release worker compute is small and the serving overheads dominate —
@@ -75,15 +90,17 @@ TARGET_COALESCED_SPEEDUP = 3.0
 WORKLOAD = {"workload": "wrelated", "m": 32, "n": 256, "s": 4, "mechanism": "LM",
             "epsilon": 0.05}
 
-#: Service shapes: every worker count is measured unbatched and coalesced.
+#: Service shapes: every worker count is measured in every mode; the
+#: modes in one tuple share one service (see ``_run_service``).
 WORKER_COUNTS = (1, 4, 16)
-MODES = ("unbatched", "coalesced")
+SERVICE_MODES = (("unbatched",), ("coalesced", "burst"))
 
 #: Requests per timed rep and client-side in-flight cap.
-REQUESTS = 192
+REQUESTS = 960
 CONCURRENCY = 64
 
-#: Coalescer shape for the ``coalesced`` cells.
+#: Coalescer shape for the ``coalesced`` cells (``burst`` cells use
+#: ``max_wait=0``).
 MAX_BATCH = 32
 MAX_WAIT = 0.004
 
@@ -194,8 +211,16 @@ async def _kill_loop(service, stopping, kills):
             kills[0] += 1
 
 
-async def _run_service(tmp_dir, plans, data, workers, mode, reps):
-    faults = mode == "faults"
+#: Coalescer linger per mode; every mode not listed runs with MAX_WAIT.
+_LINGER = {"burst": 0.0}
+
+
+async def _run_service(tmp_dir, plans, data, workers, modes, reps):
+    """Boot one service and measure one cell per mode in ``modes``. Modes
+    that share the service (``coalesced`` and ``burst`` differ only in the
+    coalescer's linger) alternate reps, flipping the order every rep, so
+    their comparison sees the same workers, ledger and spell of the host."""
+    faults = modes == ("faults",)
     supervision = (
         # Tight supervision so respawns land within the measured window.
         dict(heartbeat_interval=0.2, heartbeat_timeout=0.6,
@@ -204,12 +229,12 @@ async def _run_service(tmp_dir, plans, data, workers, mode, reps):
     )
     config = ServiceConfig(
         plans_dir=plans,
-        ledger_root=Path(tmp_dir) / f"ledgers-{workers}-{mode}",
+        ledger_root=Path(tmp_dir) / f"ledgers-{workers}-{'-'.join(modes)}",
         data=data,
         total_epsilon=TOTAL_BUDGET,
         workers=workers,
         seed=7,
-        max_batch=1 if mode == "unbatched" else MAX_BATCH,
+        max_batch=1 if modes == ("unbatched",) else MAX_BATCH,
         max_wait=MAX_WAIT,
         **supervision,
     )
@@ -217,53 +242,69 @@ async def _run_service(tmp_dir, plans, data, workers, mode, reps):
     host, port = await service.start()
     client = await AsyncServiceClient.connect(host, port)
     kills = [0]
+    runs = {
+        mode: {"latencies": [], "walls": [], "stats": {}, "batches": 0,
+               "coalesced": 0}
+        for mode in modes
+    }
     try:
         await _drive(client, min(REQUESTS, 32), CONCURRENCY)  # warm-up, untimed
-        latencies = []
-        walls = []
-        stats = {}
         stopping = asyncio.Event()
         killer = (
             asyncio.ensure_future(_kill_loop(service, stopping, kills))
             if faults else None
         )
         try:
-            for _ in range(reps):
-                start = time.perf_counter()
-                latencies.extend(
-                    await _drive(client, REQUESTS, CONCURRENCY, stats=stats,
-                                 retry_faults=faults)
-                )
-                walls.append(time.perf_counter() - start)
+            for rep in range(reps):
+                for mode in (modes if rep % 2 == 0 else modes[::-1]):
+                    run = runs[mode]
+                    coalescer = service.coalescer
+                    coalescer.max_wait = _LINGER.get(mode, MAX_WAIT)
+                    batches = coalescer.batches_flushed
+                    coalesced = coalescer.requests_coalesced
+                    start = time.perf_counter()
+                    run["latencies"].extend(
+                        await _drive(client, REQUESTS, CONCURRENCY,
+                                     stats=run["stats"], retry_faults=faults)
+                    )
+                    run["walls"].append(time.perf_counter() - start)
+                    run["batches"] += coalescer.batches_flushed - batches
+                    run["coalesced"] += coalescer.requests_coalesced - coalesced
         finally:
             stopping.set()
             if killer is not None:
                 await killer
-        batches = service.coalescer.batches_flushed
-        coalesced = service.coalescer.requests_coalesced
     finally:
         await client.close()
         await service.shutdown()
-    latencies = np.asarray(latencies)
-    best_wall = min(walls)
-    decided = stats["served"] + stats["failed_hard"]
-    return {
-        **WORKLOAD,
-        "workers": workers,
-        "mode": mode,
-        "requests": REQUESTS,
-        "concurrency": CONCURRENCY,
-        "max_batch": config.max_batch,
-        "p50_latency_seconds": float(np.percentile(latencies, 50)),
-        "p99_latency_seconds": float(np.percentile(latencies, 99)),
-        "releases_per_second": (stats["served"] / reps) / best_wall,
-        "wall_seconds_all": walls,
-        "busy_retries": stats["shed"],
-        "mean_batch_size": (coalesced / batches) if batches else 1.0,
-        "availability": stats["served"] / decided if decided else 1.0,
-        "shed_rate": stats["shed"] / max(1, stats["attempts"]),
-        "worker_kills": kills[0],
-    }
+    cells = []
+    for mode, run in runs.items():
+        latencies = np.asarray(run["latencies"])
+        walls = run["walls"]
+        stats = run["stats"]
+        decided = stats["served"] + stats["failed_hard"]
+        cells.append({
+            **WORKLOAD,
+            "workers": workers,
+            "mode": mode,
+            "requests": REQUESTS,
+            "concurrency": CONCURRENCY,
+            "max_batch": config.max_batch,
+            "max_wait": _LINGER.get(mode, MAX_WAIT),
+            "p50_latency_seconds": float(np.percentile(latencies, 50)),
+            "p99_latency_seconds": float(np.percentile(latencies, 99)),
+            "releases_per_second": (stats["served"] / reps) / min(walls),
+            "sustained_releases_per_second": stats["served"] / sum(walls),
+            "wall_seconds_all": walls,
+            "busy_retries": stats["shed"],
+            "mean_batch_size": (
+                run["coalesced"] / run["batches"] if run["batches"] else 1.0
+            ),
+            "availability": stats["served"] / decided if decided else 1.0,
+            "shed_rate": stats["shed"] / max(1, stats["attempts"]),
+            "worker_kills": kills[0],
+        })
+    return cells
 
 
 def test_service_throughput_and_latency(tmp_path):
@@ -272,26 +313,30 @@ def test_service_throughput_and_latency(tmp_path):
 
     cells = []
     for workers in WORKER_COUNTS:
-        for mode in MODES:
-            cell = asyncio.run(
-                _run_service(tmp_path, plans, data, workers, mode, reps)
-            )
-            cells.append(cell)
+        for modes in SERVICE_MODES:
+            cells.extend(asyncio.run(
+                _run_service(tmp_path, plans, data, workers, modes, reps)
+            ))
     # Availability under faults: the 4-worker coalesced shape with a chaos
     # task killing a random worker every KILL_INTERVAL seconds.
-    faults_cell = asyncio.run(
-        _run_service(tmp_path, plans, data, 4, "faults", reps)
+    (faults_cell,) = asyncio.run(
+        _run_service(tmp_path, plans, data, 4, ("faults",), reps)
     )
     cells.append(faults_cell)
 
-    def rps(workers, mode):
+    def rps(workers, mode, field="releases_per_second"):
         return next(
-            c["releases_per_second"]
+            c[field]
             for c in cells
             if c["workers"] == workers and c["mode"] == mode
         )
 
     speedup = rps(4, "coalesced") / rps(1, "unbatched")
+    burst_share = {
+        workers: rps(workers, "burst", "sustained_releases_per_second")
+        / rps(workers, "coalesced", "sustained_releases_per_second")
+        for workers in WORKER_COUNTS
+    }
     report = {
         "label": os.environ.get("REPRO_BENCH_LABEL", "current"),
         "description": "TCP service load benchmark: one tenant, one LM plan, "
@@ -302,6 +347,7 @@ def test_service_throughput_and_latency(tmp_path):
         "reps": reps,
         "cells": cells,
         "speedup_4coalesced_vs_1unbatched": speedup,
+        "burst_share_of_coalesced": {str(w): s for w, s in burst_share.items()},
         "availability_under_faults": faults_cell["availability"],
         "worker_kills_under_faults": faults_cell["worker_kills"],
     }
@@ -327,6 +373,11 @@ def test_service_throughput_and_latency(tmp_path):
         f"(target {TARGET_COALESCED_SPEEDUP}x; report: {OUTPUT_PATH})"
     )
     print(
+        "burst (max_wait=0) vs coalesced releases/sec: "
+        + ", ".join(f"{w} workers {s:.2f}" for w, s in burst_share.items())
+        + f" (floor {TARGET_BURST_SHARE})"
+    )
+    print(
         f"availability under faults ({faults_cell['worker_kills']} worker "
         f"kills): {faults_cell['availability']:.4f} "
         f"(floor {TARGET_AVAILABILITY})"
@@ -337,6 +388,12 @@ def test_service_throughput_and_latency(tmp_path):
         f"unbatched control (target {TARGET_COALESCED_SPEEDUP}x); see "
         f"{OUTPUT_PATH} for per-cell data"
     )
+    for workers, share in burst_share.items():
+        assert share >= TARGET_BURST_SHARE, (
+            f"{workers}-worker burst cell (max_wait=0) sustains only "
+            f"{share:.2f} of the coalesced cell's releases/sec (floor "
+            f"{TARGET_BURST_SHARE}); see {OUTPUT_PATH}"
+        )
     assert faults_cell["availability"] >= TARGET_AVAILABILITY, (
         f"availability under worker kills fell to "
         f"{faults_cell['availability']:.4f} (floor {TARGET_AVAILABILITY}); "

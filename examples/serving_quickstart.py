@@ -80,8 +80,10 @@ async def main():
             data=counts,
             total_epsilon=5.0,
             workers=2,
-            max_batch=32,     # coalesce up to 32 requests per batch
-            max_wait=0.002,   # ... or whatever arrives within 2 ms
+            # Coalesce up to 32 requests per batch. A burst (a dashboard
+            # written in one go) flushes as soon as it has been read; no
+            # timer holds requests back.
+            max_batch=32,
         )
         service = PlanService(config)
         host, port = await service.start()

@@ -134,8 +134,9 @@ def build_parser():
         help="serve: coalescer batch cap (1 disables micro-batching)",
     )
     parser.add_argument(
-        "--max-wait", type=float, default=0.002,
-        help="serve: coalescing window in seconds (default 0.002)",
+        "--max-wait", type=float, default=None,
+        help="serve: coalescer linger in seconds before a batch flushes "
+        "(default: ServiceConfig's, 0 = flush at the end of each burst)",
     )
     parser.add_argument(
         "--max-queue", type=int, default=1024,
@@ -354,6 +355,9 @@ def _run_serve(args, out):
     if missing:
         out.write(f"serve requires {', '.join(missing)}\n")
         return 2
+    # Unset flags fall through to ServiceConfig's defaults, so the CLI and
+    # the library cannot drift apart.
+    optional = {"max_wait": args.max_wait} if args.max_wait is not None else {}
     config = ServiceConfig(
         plans_dir=args.plans,
         ledger_root=args.ledger_root,
@@ -366,11 +370,11 @@ def _run_serve(args, out):
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_wait=args.max_wait,
         max_queue=args.max_queue,
         request_timeout=args.request_timeout,
         watch_plans=args.watch_plans,
         watch_interval=args.watch_interval,
+        **optional,
     )
 
     def ready(service, host, port):

@@ -153,10 +153,24 @@ def _record_crc(record):
     ).hexdigest()
 
 
+def _encode_with_crc(record):
+    """``(text, crc)``: the canonical JSON of ``record`` plus its checksum,
+    from one encoding pass — the members are encoded once and joined in
+    key order both for the checksummed body and for the written text."""
+    members = {
+        key: json.dumps(key) + ":"
+        + json.dumps(value, sort_keys=True, separators=(",", ":"))
+        for key, value in record.items()
+        if key != "crc"
+    }
+    body = "{" + ",".join(members[key] for key in sorted(members)) + "}"
+    crc = hashlib.sha1(body.encode("utf-8")).hexdigest()
+    members["crc"] = f'"crc":"{crc}"'
+    return "{" + ",".join(members[key] for key in sorted(members)) + "}", crc
+
+
 def _encode_record(record):
-    record = dict(record)
-    record["crc"] = _record_crc(record)
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _encode_with_crc(record)[0]
 
 
 def _decode_record(text, expected_seq):
@@ -283,7 +297,10 @@ class JournalStore(LedgerStore):
     lacks the terminator). The tail is truncated on the next locked
     transaction; corruption anywhere *before* the tail (a checksum
     mismatch or sequence gap) is unrepairable tampering/rot and raises
-    :class:`~repro.exceptions.LedgerCorruptError`.
+    :class:`~repro.exceptions.LedgerCorruptError` — at open and in the
+    whole-stream readers (``ledger inspect``/``health``, recovery), and
+    in a transaction only when it lies past the verified tail cursor,
+    because transactions read from the cursor on (O(new records)).
 
     The cross-process lock is ``flock`` on a sibling ``<name>.lock`` file,
     acquired non-blocking under the store's :class:`RetryPolicy`.
@@ -296,10 +313,10 @@ class JournalStore(LedgerStore):
         self.retry = retry or RetryPolicy()
         self._last_seq = 0
         self._lock_fd = None
-        # (start_offset, end_offset, seq, crc) of the last complete record
-        # this instance has seen — the incremental-scan cursor. Always
-        # verified against the file bytes before being trusted, so it is a
-        # hint, never an assumption.
+        # (start_offset, line_bytes, seq) of the last complete record this
+        # instance has seen — the incremental-scan cursor. Always verified
+        # against the file bytes before being trusted, so it is a hint,
+        # never an assumption.
         self._tail_cursor = None
 
     # -- locking ------------------------------------------------------- #
@@ -373,13 +390,14 @@ class JournalStore(LedgerStore):
             offset = newline + 1
         return records, offset, 0, last_start
 
-    def _note_tail(self, records, valid_end, last_start):
-        """Record the incremental-scan cursor after a successful parse."""
+    def _note_tail(self, data, base, records, valid_end, last_start):
+        """Record the incremental-scan cursor after a successful parse of
+        ``data`` (which starts at file offset ``base``)."""
         if records and last_start is not None:
             self._tail_cursor = (
-                last_start, valid_end, records[-1]["seq"], records[-1]["crc"]
+                base + last_start, data[last_start:valid_end], records[-1]["seq"]
             )
-        elif last_start is None and valid_end == 0:
+        elif last_start is None and base + valid_end == 0:
             self._tail_cursor = None
 
     def scan(self):
@@ -387,49 +405,50 @@ class JournalStore(LedgerStore):
             data = self.path.read_bytes()
         except FileNotFoundError:
             self._tail_cursor = None
+            self._last_seq = 0
             return [], 0
         records, valid_end, torn, last_start = self._parse(data)
         self._last_seq = len(records)
-        self._note_tail(records, valid_end, last_start)
+        self._note_tail(data, 0, records, valid_end, last_start)
         return records, torn
+
+    def _read_from_cursor(self):
+        """Read the journal from the cursor record's start to EOF with one
+        ``seek`` — never the bytes before it — and verify that record still
+        sits unchanged, byte for byte, at its offsets. Returns ``(data,
+        base, offset, first_seq)``: ``data`` starts at file offset ``base``
+        and ``data[offset:]`` holds the records after the cursor, numbered
+        from ``first_seq``. Returns ``None`` when there is no cursor or it
+        fails verification (a compaction by another process rewrites
+        offsets and/or content): the caller falls back to a whole-file
+        read."""
+        cursor = self._tail_cursor
+        if cursor is None:
+            return None
+        start, line, seq = cursor
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(start)
+                data = fh.read()
+        except FileNotFoundError:
+            return None
+        if not data.startswith(line):
+            return None
+        return data, start, len(line), seq + 1
 
     def scan_new(self):
         """Incremental scan: parse only the bytes appended since the
-        cursor, after verifying the cursor's record still sits unchanged
-        at its offsets (a compaction by another process rewrites offsets
-        and/or content, failing the check and forcing a full rescan)."""
-        cursor = self._tail_cursor
-        if cursor is None:
+        verified cursor (O(new records)); an unverifiable cursor forces a
+        full rescan."""
+        tail = self._read_from_cursor()
+        if tail is None:
             records, torn = self.scan()
             return records, torn, False
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            self._tail_cursor = None
-            self._last_seq = 0
-            return [], 0, False
-        start, end, seq, crc = cursor
-        verified = False
-        if end <= len(data) and data[end - 1:end] == b"\n":
-            line = data[start:end - 1].decode("utf-8", errors="replace")
-            try:
-                record = json.loads(line)
-            except ValueError:
-                record = None
-            verified = (
-                isinstance(record, dict)
-                and record.get("seq") == seq
-                and record.get("crc") == crc
-            )
-        if not verified:
-            records, torn = self.scan()
-            return records, torn, False
-        records, valid_end, torn, last_start = self._parse(
-            data, offset=end, first_seq=seq + 1
-        )
-        self._last_seq = seq + len(records)
+        data, base, offset, first_seq = tail
+        records, valid_end, torn, last_start = self._parse(data, offset, first_seq)
+        self._last_seq = first_seq - 1 + len(records)
         if records:
-            self._note_tail(records, valid_end, last_start)
+            self._note_tail(data, base, records, valid_end, last_start)
         return records, torn, True
 
     def _repair_torn_tail(self):
@@ -437,20 +456,36 @@ class JournalStore(LedgerStore):
         never acknowledged as committed — dropping them is the *correct*
         recovery, not data loss. Only ``_last_seq`` (append numbering) is
         refreshed here — NOT the incremental-scan cursor, which tracks
-        what the *caller* has consumed: records this repair parses were
-        never surfaced, and advancing the cursor past them would make the
-        next ``scan_new`` silently skip them."""
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            self._last_seq = 0
-            self._tail_cursor = None
-            return
-        records, valid_end, torn, last_start = self._parse(data)
-        self._last_seq = len(records)
-        if torn:
+        what the *caller* has consumed: records this check passes over
+        were never surfaced, and advancing the cursor past them would make
+        the next ``scan_new`` silently skip them.
+
+        Like :meth:`scan_new`, the check reads only past the verified
+        cursor, so a transaction costs O(new records), not O(journal). It
+        counts complete lines rather than decoding them: the sync that
+        every spend runs next, inside the same transaction, decodes and
+        checksums exactly those records. Corruption *before* the cursor is
+        not re-detected per transaction: opening the ledger (a full scan),
+        ``ledger inspect``/``health`` and :func:`recover_ledger` read the
+        whole stream and catch it."""
+        tail = self._read_from_cursor()
+        if tail is None:
+            try:
+                data = self.path.read_bytes()
+            except FileNotFoundError:
+                self._last_seq = 0
+                self._tail_cursor = None
+                return
+            base, offset, first_seq = 0, 0, 1
+        else:
+            data, base, offset, first_seq = tail
+        # Complete writes end in a newline; anything after the last one
+        # is a torn write.
+        valid_end = data.rfind(b"\n", offset) + 1 or offset
+        self._last_seq = first_seq - 1 + data.count(b"\n", offset, valid_end)
+        if valid_end < len(data):
             with open(self.path, "r+b") as fh:
-                fh.truncate(valid_end)
+                fh.truncate(base + valid_end)
                 fh.flush()
                 os.fsync(fh.fileno())
 
@@ -458,9 +493,9 @@ class JournalStore(LedgerStore):
     def append(self, payload, point=None):
         if self._lock_fd is None:
             raise LedgerError("JournalStore.append requires an open transact()")
-        record = {"seq": self._last_seq + 1, **payload}
-        crc = _record_crc(record)
-        line = (_encode_record(record) + "\n").encode("utf-8")
+        seq = self._last_seq + 1
+        text, _ = _encode_with_crc({"seq": seq, **payload})
+        line = (text + "\n").encode("utf-8")
         created = not self.path.exists()
         if point is not None:
             fire(f"{point}.before_append")
@@ -476,24 +511,22 @@ class JournalStore(LedgerStore):
             fsync_directory(self.path.parent)
         if point is not None:
             fire(f"{point}.after_append")
-        self._last_seq += 1
-        self._tail_cursor = (start, start + len(line), record["seq"], crc)
+        self._last_seq = seq
+        self._tail_cursor = (start, line, seq)
 
     def compact(self, payloads):
         if self._lock_fd is None:
             raise LedgerError("JournalStore.compact requires an open transact()")
-        lines = []
-        last_crc = None
-        for index, payload in enumerate(payloads):
-            record = {"seq": index + 1, **payload}
-            last_crc = _record_crc(record)
-            lines.append(_encode_record(record) + "\n")
+        lines = [
+            (_encode_record({"seq": index + 1, **payload}) + "\n").encode("utf-8")
+            for index, payload in enumerate(payloads)
+        ]
         staging = self.path.with_name(
             f"{self.path.name}.{os.getpid()}-{uuid.uuid4().hex[:8]}.compact.tmp"
         )
         try:
             with open(staging, "wb") as fh:
-                fh.write("".join(lines).encode("utf-8"))
+                fh.write(b"".join(lines))
                 fh.flush()
                 os.fsync(fh.fileno())
             fire("journal.compact.before_replace")
@@ -507,9 +540,8 @@ class JournalStore(LedgerStore):
                 pass
         self._last_seq = len(payloads)
         if lines:
-            total = sum(len(line.encode("utf-8")) for line in lines)
-            last = len(lines[-1].encode("utf-8"))
-            self._tail_cursor = (total - last, total, len(payloads), last_crc)
+            total = sum(len(line) for line in lines)
+            self._tail_cursor = (total - len(lines[-1]), lines[-1], len(payloads))
         else:
             self._tail_cursor = None
 
@@ -657,17 +689,17 @@ class SQLiteStore(LedgerStore):
     def append(self, payload, point=None):
         if not self._in_txn:
             raise LedgerError("SQLiteStore.append requires an open transact()")
-        record = {"seq": self._next_seq(), **payload}
+        seq = self._next_seq()
+        text, crc = _encode_with_crc({"seq": seq, **payload})
         if point is not None:
             self._txn_guarded = True
             fire(f"{point}.before_append")
         self._conn.execute(
-            "INSERT INTO ledger (seq, payload) VALUES (?, ?)",
-            (record["seq"], _encode_record(record)),
+            "INSERT INTO ledger (seq, payload) VALUES (?, ?)", (seq, text)
         )
         if point is not None:
             fire(f"{point}.after_append")
-        self._tail_cursor = (record["seq"], _record_crc(record))
+        self._tail_cursor = (seq, crc)
 
     def compact(self, payloads):
         if not self._in_txn:
@@ -675,12 +707,11 @@ class SQLiteStore(LedgerStore):
         self._conn.execute("DELETE FROM ledger")
         self._tail_cursor = None
         for index, payload in enumerate(payloads):
-            record = {"seq": index + 1, **payload}
+            text, crc = _encode_with_crc({"seq": index + 1, **payload})
             self._conn.execute(
-                "INSERT INTO ledger (seq, payload) VALUES (?, ?)",
-                (record["seq"], _encode_record(record)),
+                "INSERT INTO ledger (seq, payload) VALUES (?, ?)", (index + 1, text)
             )
-            self._tail_cursor = (record["seq"], _record_crc(record))
+            self._tail_cursor = (index + 1, crc)
 
     def close(self):
         try:

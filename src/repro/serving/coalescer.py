@@ -4,10 +4,21 @@ The engine's batched release path (``execute_many``) amortizes the
 per-release noise draw, GEMM and ledger round-trip — but only if someone
 actually forms batches. Under a concurrent front-end, requests for the
 same ``(tenant, plan)`` arrive interleaved across connections;
-:class:`Coalescer` holds each one briefly in a per-key bucket and flushes
-the bucket as a single worker command when it reaches ``max_batch``
-requests or its oldest request has waited ``max_wait`` seconds, whichever
-comes first.
+:class:`Coalescer` gathers them in a per-key bucket:
+
+* **Burst flush** — a new bucket is flushed once the event loop has run
+  the callbacks already queued, i.e. every task created from the same
+  socket read (a client's dashboard written in one go) has submitted.
+  No request waits out a fixed timer; ``max_wait`` (default 0) is an
+  optional extra linger before the flush.
+* **Open until dispatch** — a flushed bucket keeps accepting arrivals, up
+  to ``max_batch``, until it is actually handed to a worker. A full
+  bucket closes and the next arrival starts a new one.
+* **One batch in flight per tenant** — a tenant's ledger ``flock``
+  serializes its spends anyway, so a tenant's next bucket waits for the
+  in-flight batch instead of contending for the lock from a second
+  worker. Under load, requests pile up in that waiting bucket and
+  dispatch as one batch the moment the previous one returns.
 
 Semantics preserved from the unbatched path:
 
@@ -59,7 +70,12 @@ from collections import deque
 from repro.exceptions import ReproError
 from repro.serving.worker import WorkerCrashError
 
-__all__ = ["Coalescer", "RemoteExecutionError"]
+__all__ = ["Coalescer", "RemoteExecutionError", "RETRY_AFTER_HINT"]
+
+#: ``retry_after`` hint (seconds) attached to the service's busy, overload
+#: and deadline sheds: long enough for an in-flight batch and a ledger
+#: lock hold to clear.
+RETRY_AFTER_HINT = 0.05
 
 
 class RemoteExecutionError(ReproError):
@@ -113,12 +129,13 @@ class _Entry:
 
 
 class _Bucket:
-    __slots__ = ("entries", "by_key", "timer")
+    __slots__ = ("entries", "by_key", "timer", "flushed")
 
     def __init__(self):
         self.entries = []
         self.by_key = {}  # idempotency key -> _Entry (in-window folding)
-        self.timer = None
+        self.timer = None  # the pending flush callback
+        self.flushed = False  # in the ready queue (still open if not full)
 
 
 class Coalescer:
@@ -128,11 +145,13 @@ class Coalescer:
     a thread (the worker pipe round-trip blocks); the coalescer is
     otherwise pure asyncio and must be used from one event loop.
     ``max_concurrent`` caps how many flushed batches run at once (``None``
-    = unlimited, the pre-fairness behaviour); flushed buckets beyond the
-    cap queue and dispatch round-robin across ``(tenant, plan)`` keys.
+    = unlimited), never more than one per tenant; flushed buckets beyond
+    either cap queue and dispatch round-robin across ``(tenant, plan)``
+    keys. ``max_wait`` is an optional linger (seconds) before a new bucket
+    flushes; at 0 it flushes at the end of the current burst.
     """
 
-    def __init__(self, pool, max_batch=32, max_wait=0.002, executor=None,
+    def __init__(self, pool, max_batch=32, max_wait=0.0, executor=None,
                  on_shed=None, max_concurrent=None):
         if int(max_batch) <= 0:
             raise ValueError("max_batch must be positive")
@@ -156,6 +175,7 @@ class Coalescer:
         self._last_dispatch = {}  # key -> seq of its most recent dispatch
         self._dispatch_seq = 0
         self._inflight = set()
+        self._busy_tenants = set()  # tenants with a batch in flight
         self._draining = False
         self._on_shed = on_shed  # callback(kind) for the service's counters
         #: Counters for the benchmark/ops surface.
@@ -184,6 +204,14 @@ class Coalescer:
         if bucket is None:
             bucket = _Bucket()
             self._buckets[bucket_key] = bucket
+            if self.max_wait > 0:
+                bucket.timer = loop.call_later(
+                    self.max_wait, self._flush, bucket_key, bucket
+                )
+            else:
+                # Runs after every callback already queued — the tasks
+                # created from the same socket read submit first.
+                bucket.timer = loop.call_soon(self._flush, bucket_key, bucket)
         deadline = None if deadline is None else float(deadline)
         if key is not None and key in bucket.by_key:
             self.duplicates_folded += 1
@@ -194,9 +222,8 @@ class Coalescer:
         if key is not None:
             bucket.by_key[key] = entry
         if len(bucket.entries) >= self.max_batch:
-            self._flush(bucket_key)
-        elif bucket.timer is None:
-            bucket.timer = loop.call_later(self.max_wait, self._flush, bucket_key)
+            del self._buckets[bucket_key]  # full: later arrivals start anew
+            self._flush(bucket_key, bucket)
         return await future
 
     def _shed_expired(self, entries):
@@ -211,46 +238,57 @@ class Coalescer:
                 entry.fail(RemoteExecutionError(
                     "deadline_exceeded",
                     "deadline expired while the request was queued",
-                    retry_after=self.max_wait,
+                    retry_after=RETRY_AFTER_HINT,
                 ))
             else:
                 live.append(entry)
         return live
 
     # -- flushing -------------------------------------------------------- #
-    def _flush(self, key):
-        bucket = self._buckets.pop(key, None)
-        if bucket is None:
+    def _flush(self, key, bucket):
+        """Move ``bucket`` to the ready queue. It stays open to arrivals
+        (unless full) until :meth:`_pump` dispatches it."""
+        if bucket.flushed:
             return
-        if bucket.timer is not None:
-            bucket.timer.cancel()
+        bucket.flushed = True
+        bucket.timer.cancel()
         self._ready.append((key, bucket))
         self._pump()
 
     def _pump(self):
         """Dispatch ready buckets round-robin across keys, up to the
-        concurrency cap: among everything ready, the key dispatched
-        longest ago (never-dispatched first, arrival order on ties) goes
-        next — a hot tenant refilling its bucket every window cannot
-        starve a quiet tenant's single queued request."""
+        concurrency cap and one in-flight batch per tenant: among the
+        ready buckets whose tenant is idle, the key dispatched longest ago
+        (never-dispatched first, arrival order on ties) goes next — a hot
+        tenant refilling its bucket cannot starve a quiet tenant's single
+        queued request."""
         while self._ready and (
             self._max_concurrent is None
             or len(self._inflight) < self._max_concurrent
         ):
+            idle = [
+                i for i, (key, _) in enumerate(self._ready)
+                if key[0] not in self._busy_tenants
+            ]
+            if not idle:
+                return
             index = min(
-                range(len(self._ready)),
-                key=lambda i: self._last_dispatch.get(self._ready[i][0], -1),
+                idle, key=lambda i: self._last_dispatch.get(self._ready[i][0], -1)
             )
             key, bucket = self._ready[index]
             del self._ready[index]
+            if self._buckets.get(key) is bucket:
+                del self._buckets[key]  # dispatched: closed to arrivals
             self._dispatch_seq += 1
             self._last_dispatch[key] = self._dispatch_seq
+            self._busy_tenants.add(key[0])
             task = asyncio.ensure_future(self._run_batch(key, bucket))
             self._inflight.add(task)
-            task.add_done_callback(self._batch_done)
+            task.add_done_callback(functools.partial(self._batch_done, key[0]))
 
-    def _batch_done(self, task):
+    def _batch_done(self, tenant, task):
         self._inflight.discard(task)
+        self._busy_tenants.discard(tenant)
         self._pump()
 
     async def _execute(self, tenant, plan_name, requests):
@@ -321,8 +359,8 @@ class Coalescer:
         """Flush everything pending, dispatch the ready queue to empty,
         and await all in-flight batches."""
         self._draining = True
-        for key in list(self._buckets):
-            self._flush(key)
+        for key, bucket in list(self._buckets.items()):
+            self._flush(key, bucket)
         while self._ready or self._inflight:
             self._pump()
             if self._inflight:

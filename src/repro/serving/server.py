@@ -59,7 +59,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.serving.coalescer import Coalescer, RemoteExecutionError
+from repro.serving.coalescer import (
+    RETRY_AFTER_HINT,
+    Coalescer,
+    RemoteExecutionError,
+)
 from repro.serving.shared_plans import stage_plans
 from repro.serving.worker import (
     WorkerBusyError,
@@ -70,10 +74,6 @@ from repro.serving.worker import (
 from repro.testing.faults import InjectedFault, fire
 
 __all__ = ["ServiceConfig", "PlanService", "serve"]
-
-#: ``retry_after`` hint attached to ledger-contention and overload sheds:
-#: long enough for a coalescing window plus a ledger lock hold to clear.
-_RETRY_AFTER_HINT = 0.05
 
 _TENANT_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]{0,63}$")
 
@@ -87,7 +87,9 @@ class ServiceConfig:
     ``data`` is the private unit-count vector (array-like) the service
     answers over; ``total_epsilon``/``total_delta`` the per-tenant budget;
     ``max_batch=1`` disables coalescing (every request is its own worker
-    round-trip); ``max_wait`` is the coalescing window in seconds.
+    round-trip); ``max_wait`` is an optional linger in seconds before a
+    coalescer bucket flushes (0: flush at the end of each burst, see
+    :mod:`~repro.serving.coalescer`).
 
     Resilience knobs: ``max_queue`` caps concurrently admitted executes
     (past it, requests shed as ``overloaded``); ``default_deadline``
@@ -106,7 +108,7 @@ class ServiceConfig:
     def __init__(self, plans_dir, ledger_root, data, total_epsilon,
                  total_delta=0.0, workers=2, accountant=None,
                  ledger_suffix=".journal", seed=None, host="127.0.0.1",
-                 port=0, max_batch=32, max_wait=0.002, max_queue=1024,
+                 port=0, max_batch=32, max_wait=0.0, max_queue=1024,
                  default_deadline=None, request_timeout=30.0,
                  heartbeat_interval=1.0, heartbeat_timeout=5.0,
                  restart_budget=5, backoff_base=0.1, healthy_after=30.0,
@@ -270,14 +272,14 @@ class PlanService:
             self.shed_deadline += 1
             raise RemoteExecutionError(
                 "deadline_exceeded", "deadline expired before admission",
-                retry_after=_RETRY_AFTER_HINT,
+                retry_after=RETRY_AFTER_HINT,
             )
         if self._exec_inflight >= self.config.max_queue:
             self.shed_overloaded += 1
             raise RemoteExecutionError(
                 "overloaded",
                 f"execute queue full ({self.config.max_queue} in flight)",
-                retry_after=_RETRY_AFTER_HINT,
+                retry_after=RETRY_AFTER_HINT,
             )
         self._exec_inflight += 1
         try:
@@ -458,7 +460,7 @@ class PlanService:
             response = {"ok": False, "error": exc.kind, "message": exc.message}
             retry_after = exc.retry_after
             if retry_after is None and exc.kind == "LedgerBusyError":
-                retry_after = _RETRY_AFTER_HINT
+                retry_after = RETRY_AFTER_HINT
             if retry_after is not None:
                 response["retry_after"] = retry_after
         except (ValidationError, ValueError) as exc:
@@ -466,7 +468,7 @@ class PlanService:
         except WorkerBusyError as exc:
             response = {
                 "ok": False, "error": "overloaded", "message": str(exc),
-                "retry_after": _RETRY_AFTER_HINT,
+                "retry_after": RETRY_AFTER_HINT,
             }
         except WorkerCrashError as exc:
             response = {"ok": False, "error": type(exc).__name__, "message": str(exc)}

@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_module
 import threading
 import time
+from collections import deque
 from pathlib import Path
 
 from repro.exceptions import ReproError, ValidationError
@@ -68,7 +68,8 @@ SERVING_LEDGER_RETRY = RetryPolicy(attempts=48, base_delay=0.001, max_delay=0.05
 
 
 class WorkerCrashError(ReproError):
-    """A worker died (or its pipe broke) while serving a request.
+    """A worker died (or its pipe broke, or it sent a reply frame that does
+    not unpickle) while serving a request.
 
     ``delivered`` records whether the command reached the worker before it
     died: an *undelivered* command is safe to retry on another worker (no
@@ -146,13 +147,21 @@ def _tenant_seed(base, worker_index, tenant):
     return int.from_bytes(digest[:8], "big")
 
 
+def _sorted_record(record):
+    """``record`` (a flat dict, or ``None``) with its keys in sorted order."""
+    return None if record is None else dict(sorted(record.items()))
+
+
 def _release_payload(release):
     """JSON-able wire form of one Release (the audit log keeps the full
     object worker-side; the wire carries what a client can use).
 
     ``deduplicated`` is out-of-band dispatch metadata — the server pops it
     into its dedup-hit counters before the payload reaches the wire, so a
-    replayed release stays byte-identical to the original reply."""
+    replayed release stays byte-identical to the original reply. For the
+    same reason ``cost`` and ``realized`` go out with sorted keys: a
+    replay answered from the ledger journal (which stores records with
+    sorted keys) must serialize exactly like the fresh reply."""
     return {
         "values": release.answers.tolist(),
         "mechanism": release.mechanism,
@@ -163,8 +172,8 @@ def _release_payload(release):
         # base (epsilon, delta), noise magnitude, sample rate, and the
         # amplified "charged" pair for subsampled releases) — what a
         # client audits against its own budget expectations.
-        "cost": release.metadata.get("cost"),
-        "realized": release.metadata.get("realized"),
+        "cost": _sorted_record(release.metadata.get("cost")),
+        "realized": _sorted_record(release.metadata.get("realized")),
         "deduplicated": bool(release.metadata.get("deduplicated")),
     }
 
@@ -351,20 +360,32 @@ class _WorkerHandle:
                     f"accepting {command[0]!r}",
                     delivered=False,
                 ) from exc
+            answered = True
             try:
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self.connection.poll(remaining):
-                        raise WorkerTimeoutError(
-                            f"worker {self.index} (pid {self.process.pid}) exceeded "
-                            f"its deadline serving {command[0]!r}"
-                        )
-                reply = self.connection.recv()
+                    answered = remaining > 0 and self.connection.poll(remaining)
+                if answered:
+                    reply = self.connection.recv()
             except (EOFError, BrokenPipeError, OSError) as exc:
                 raise WorkerCrashError(
                     f"worker {self.index} (pid {self.process.pid}) died "
                     f"serving {command[0]!r}"
                 ) from exc
+            except Exception as exc:
+                # A frame that does not unpickle (UnpicklingError and
+                # kin): the stream is out of step, so the worker is as
+                # good as dead — the pool kills it and respawns the slot.
+                raise WorkerCrashError(
+                    f"worker {self.index} (pid {self.process.pid}) sent an "
+                    f"unreadable reply to {command[0]!r}: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+            if not answered:
+                raise WorkerTimeoutError(
+                    f"worker {self.index} (pid {self.process.pid}) exceeded "
+                    f"its deadline serving {command[0]!r}"
+                )
             self.last_ok = time.monotonic()
             return reply
 
@@ -381,7 +402,7 @@ class _WorkerHandle:
                 if not self.connection.poll(timeout):
                     return False
                 self.connection.recv()
-            except (EOFError, BrokenPipeError, OSError):
+            except Exception:  # dead pipe, or a frame that does not unpickle
                 return False
             self.last_ok = time.monotonic()
             return True
@@ -401,7 +422,7 @@ class _WorkerHandle:
                     self.connection.send(("shutdown",))
                     if self.connection.poll(timeout):
                         self.connection.recv()
-                except (EOFError, BrokenPipeError, OSError):
+                except Exception:  # dead pipe or unreadable frame: join/kill below
                     pass
             self.dead = True
         self.process.join(timeout)
@@ -420,6 +441,10 @@ class WorkerPool:
     ``submit`` checks a worker out of the free queue, runs one request
     under a deadline, and returns it — callers block only while all
     workers are busy (up to ``timeout``, then :class:`WorkerBusyError`).
+    An ``execute`` goes to the worker that served its tenant's previous
+    execute when that worker is free — its ledger mirror is current, so
+    it syncs no records another worker wrote — and otherwise to the
+    longest-idle worker.
     A crashed or hung worker is killed and its **slot** respawned by the
     supervisor thread: immediately on the first crash, then with
     exponential backoff, and after ``restart_budget`` consecutive crashes
@@ -455,7 +480,9 @@ class WorkerPool:
         self._generation = 0
         self._crashes = 0
         self._timeouts = 0
-        self._free = queue_module.Queue()
+        self._free = deque()  # ready, idle handles, longest idle first
+        self._free_changed = threading.Condition()
+        self._affinity = {}  # tenant -> index of its last execute's worker
         self._closed = False
         self._lock = threading.Lock()
         self._reload_lock = threading.Lock()
@@ -475,7 +502,7 @@ class WorkerPool:
                     break
                 time.sleep(0.005)
             if handle.ready.is_set() and not handle.dead and not handle.retired:
-                self._free.put(handle)
+                self._checkin(handle)
         self._supervisor = threading.Thread(
             target=self._supervise, name="repro-serve-supervisor", daemon=True
         )
@@ -533,7 +560,7 @@ class WorkerPool:
                     f"worker {handle.index} sent {message!r} instead of the "
                     "ready handshake"
                 )
-        except (EOFError, BrokenPipeError, OSError, WorkerCrashError):
+        except Exception:  # dead pipe, unreadable frame or bad handshake
             self._report_crash(handle, hung=False)
             return
         handle.ready.set()
@@ -548,7 +575,7 @@ class WorkerPool:
                 and handle.slot.handle is handle
             )
         if usable:
-            self._free.put(handle)
+            self._checkin(handle)
 
     # ------------------------------------------------------------------ #
     # Crash accounting, backoff, quarantine
@@ -692,16 +719,14 @@ class WorkerPool:
         if self._closed:
             raise ValidationError("WorkerPool is closed")
         checkout_deadline = None if timeout is None else time.monotonic() + timeout
+        tenant = command[1] if command[0] == "execute" else None
         retries = 0
         while True:
             remaining = (
                 None if checkout_deadline is None
                 else max(0.0, checkout_deadline - time.monotonic())
             )
-            try:
-                handle = self._free.get(timeout=remaining)
-            except queue_module.Empty as exc:
-                raise WorkerBusyError("no free worker within timeout") from exc
+            handle = self._checkout(remaining, self._affinity.get(tenant))
             if handle.dead or handle.retired:
                 continue  # dropped: its slot is already being handled
             request_deadline = deadline
@@ -728,8 +753,28 @@ class WorkerPool:
                     retries += 1
                     continue  # undelivered, or keyed and therefore idempotent
                 raise
-            self._free.put(handle)
+            self._checkin(handle)
+            if tenant is not None:
+                self._affinity[tenant] = handle.index
             return reply
+
+    def _checkin(self, handle):
+        with self._free_changed:
+            self._free.append(handle)
+            self._free_changed.notify()
+
+    def _checkout(self, timeout, prefer=None):
+        """Take the free worker with index ``prefer`` if there is one,
+        else the longest-idle one; wait up to ``timeout`` seconds (``None``:
+        forever) for any to come free."""
+        with self._free_changed:
+            if not self._free_changed.wait_for(lambda: self._free, timeout):
+                raise WorkerBusyError("no free worker within timeout")
+            for handle in self._free:
+                if handle.index == prefer:
+                    self._free.remove(handle)
+                    return handle
+            return self._free.popleft()
 
     # ------------------------------------------------------------------ #
     # Health, hot reload, drain

@@ -171,6 +171,20 @@ class TestServeTarget:
         assert "--ledger-root" in message and "--budget" in message
         assert "--plans" not in message
 
+    def test_serve_max_wait_falls_through_to_service_config(self):
+        import inspect
+
+        from repro.serving import ServiceConfig
+
+        args = build_parser().parse_args(
+            ["serve", "--plans", "p", "--ledger-root", "l", "--data", "d.npy",
+             "--budget", "2.0"]
+        )
+        # Unset, so ServiceConfig's own default (no linger) applies.
+        assert args.max_wait is None
+        default = inspect.signature(ServiceConfig).parameters["max_wait"].default
+        assert default == 0.0
+
     def test_serve_flags_parse(self):
         args = build_parser().parse_args(
             ["serve", "--plans", "p", "--ledger-root", "l", "--data", "d.npy",

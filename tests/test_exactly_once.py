@@ -20,11 +20,16 @@ Layer by layer:
 * **Service drills** — a worker SIGKILLed *after* the spend but before
   the reply (``serving.worker.before_reply``) and replies dropped on the
   wire (``serving.conn.drop``) both converge to exactly one charge and
-  bit-identical replies, with ``health`` dedup counters ticking.
+  bit-identical replies, with ``health`` dedup counters ticking. A replay
+  is byte-identical on the wire whether the releasing worker answers it
+  from memory, another worker from the ledger journal, or a restarted
+  service.
 """
 
 import asyncio
 import json
+import os
+import signal
 import threading
 import time
 
@@ -628,6 +633,52 @@ class TestServiceExactlyOnceDrills:
         assert replayed["costs"] == 1
         assert replayed["spent_epsilon"] == pytest.approx(0.05)
         assert replayed["dangling_intents"] == []
+
+    def test_replay_bytes_match_across_workers_and_restarts(
+        self, plans_dir, data, tmp_path
+    ):
+        config = ServiceConfig(
+            plans_dir=plans_dir, ledger_root=tmp_path / "ledgers", data=data,
+            total_epsilon=2.0, workers=2, seed=19,
+        )
+        request = json.dumps({
+            "op": "execute", "tenant": "acme", "plan": "related",
+            "epsilon": 0.05, "key": "BYTES",
+        }).encode("utf-8") + b"\n"
+
+        async def raw_replies(count, kill_after=None):
+            service = PlanService(config)
+            host, port = await service.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                lines = []
+                for index in range(count):
+                    if index == kill_after:
+                        # The first dispatch landed on slot 0's worker.
+                        pid = (await service.health())["slots"][0]["pid"]
+                        os.kill(pid, signal.SIGKILL)
+                    writer.write(request)
+                    await writer.drain()
+                    lines.append(await reader.readline())
+                writer.close()
+                await writer.wait_closed()
+                health = await service.health()
+            finally:
+                await service.shutdown()
+            return lines, health
+
+        # Fresh release, a replay from the releasing worker's memory, then
+        # (that worker killed) a replay from another worker process, which
+        # reads the stored result from the ledger journal.
+        first_boot, health = asyncio.run(raw_replies(3, kill_after=2))
+        # After a restart every worker reads it from the journal.
+        after_restart, _ = asyncio.run(raw_replies(1))
+        original = first_boot[0]
+        assert json.loads(original)["ok"] is True
+        assert first_boot[1:] + after_restart == [original] * 3
+        assert health["dedup_hits"] == 2
+        assert health["crashes"] == 1
+        assert inspect_ledger(tmp_path / "ledgers" / "acme.journal")["costs"] == 1
 
     def test_async_client_auto_keys_and_folds_concurrent_duplicates(
         self, plans_dir, data, tmp_path

@@ -14,13 +14,17 @@ The load-bearing claims:
   checkpoint failure never fails the spend that triggered it;
 * after an ambiguous write failure the handle marks itself dirty and the
   next sync re-verifies the stream end to end, so a durable-but-
-  rolled-back-in-memory commit is recovered, not silently skipped.
+  rolled-back-in-memory commit is recovered, not silently skipped;
+* a whole spend transaction — lock, torn-tail check and sync — decodes
+  a number of records that does not depend on the journal's length
+  (counted, like the solver's SVD calls, not timed).
 """
 
 import numpy as np
 import pytest
 
 from repro.exceptions import LedgerError, PrivacyBudgetError
+from repro.privacy import ledger as ledger_module
 from repro.privacy.accountant import make_accountant
 from repro.privacy.ledger import inspect_ledger, open_ledger, open_store
 from repro.testing.faults import FailPoint, InjectedFault
@@ -357,5 +361,123 @@ class TestDirtyResync:
         FailPoint.clear()
         acct.spend(0.1)
         assert acct.spent_epsilon == pytest.approx(0.35)
+        assert_matches_cold_replay(acct, path)
+        acct.close()
+
+
+# ---------------------------------------------------------------------- #
+# A transaction costs O(new records), counted
+# ---------------------------------------------------------------------- #
+def grow_ledger(path, backend, pairs):
+    """Give the ledger at ``path`` ``1 + 2 * pairs`` records (its meta
+    header plus ``pairs`` committed spends) in one compaction, instead of
+    ``pairs`` fsynced spends."""
+    open_ledger(path, fresh_accountant()).close()
+    store = open_store(path, backend=backend)
+    records, _ = store.scan()
+    payloads = [{key: value for key, value in records[0].items()
+                 if key not in ("seq", "crc")}]
+    for index in range(pairs):
+        payloads.append(
+            {"op": "intent", "txn": f"grown-{index}", "costs": [[1e-6, 0.0]]}
+        )
+        payloads.append({"op": "commit", "txn": f"grown-{index}"})
+    with store.transact():
+        store.compact(payloads)
+    store.close()
+
+
+def decodes_per_transaction(path, monkeypatch):
+    """Records decoded by one warm ``spend`` and one warm ``spend_keyed``,
+    each after another handle appended one spend (two new records)."""
+    acct = open_ledger(path, fresh_accountant())
+    other = open_ledger(path, fresh_accountant())
+    decoded = []
+    real_decode = ledger_module._decode_record
+
+    def counting_decode(text, expected_seq):
+        decoded.append(expected_seq)
+        return real_decode(text, expected_seq)
+
+    monkeypatch.setattr(ledger_module, "_decode_record", counting_decode)
+
+    def produce(positions, realized):
+        return [{"values": [1.0]} for _ in positions]
+
+    counts = []
+    for transaction in (
+        lambda: acct.spend(0.01),
+        lambda: acct.spend_keyed([((0.01, 0.0), "key-1")], produce),
+    ):
+        other.spend(0.01)
+        del decoded[:]
+        transaction()
+        counts.append(len(decoded))
+    monkeypatch.undo()
+    assert_matches_cold_replay(acct, path)
+    acct.close()
+    other.close()
+    return counts
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestTransactionDecodeCount:
+    def test_decodes_do_not_depend_on_journal_length(
+        self, tmp_path, backend, monkeypatch
+    ):
+        short = ledger_path(tmp_path / "short", backend)
+        long = ledger_path(tmp_path / "long", backend)
+        grow_ledger(short, backend, pairs=5)  # 11 records
+        grow_ledger(long, backend, pairs=5_000)  # 10,001 records
+        short_counts = decodes_per_transaction(short, monkeypatch)
+        long_counts = decodes_per_transaction(long, monkeypatch)
+        assert long_counts == short_counts
+        # Only the two records the other handle appended, decoded once by
+        # the sync; the torn-tail check counts lines without decoding.
+        assert long_counts == [2, 2]
+
+
+class TestJournalTailCursor:
+    def test_compaction_by_another_store_forces_a_rescan(self, tmp_path):
+        path = ledger_path(tmp_path, "journal")
+        acct = open_ledger(path, fresh_accountant())
+        acct.spend(0.1)
+        snap = acct.snapshot()
+        for _ in range(3):
+            acct.spend(0.1)
+        acct.restore(snap)  # rolls back the last three spends
+        acct.spend(0.2)  # the cursor now sits past the rolled-back records
+        # Another process's checkpoint drops the rolled-back records, so
+        # every later record moves: the cursor can no longer verify.
+        compactor = open_ledger(path, fresh_accountant(), compact_every=1)
+        compactor.spend(0.05)
+        compactor.close()
+        syncs = []
+        original = acct._store.scan_new
+
+        def spying_scan_new():
+            result = original()
+            syncs.append(result[2])
+            return result
+
+        acct._store.scan_new = spying_scan_new
+        acct.spend(0.1)
+        acct._store.scan_new = original
+        assert syncs == [False]  # a full rescan, not a resumed one
+        assert acct.spent_epsilon == pytest.approx(0.45)
+        assert_matches_cold_replay(acct, path)
+        acct.spend(0.1)  # and the cursor is trusted again afterwards
+        assert_matches_cold_replay(acct, path)
+        acct.close()
+
+    def test_torn_tail_after_the_cursor_is_truncated(self, tmp_path):
+        path = ledger_path(tmp_path, "journal")
+        acct = open_ledger(path, fresh_accountant())
+        acct.spend(0.1)
+        with open(path, "ab") as fh:
+            fh.write(b'{"seq":4,"op":"intent","truncated')  # no newline
+        acct.spend(0.2)  # the locked check truncates it before appending
+        assert inspect_ledger(path)["torn_tail_bytes"] == 0
+        assert b"truncated" not in path.read_bytes()
         assert_matches_cold_replay(acct, path)
         acct.close()

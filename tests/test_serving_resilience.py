@@ -6,7 +6,8 @@ The contracts under test:
 * **Hung-worker detection** — a worker that stalls its pipe (not just one
   that dies) is caught by the per-request deadline, killed with SIGKILL
   and its slot respawned; the caller sees ``WorkerTimeoutError``, never a
-  hang.
+  hang. A reply frame that does not unpickle is a worker death too: the
+  caller sees ``WorkerCrashError``, never a raw unpickling error.
 * **Restart budget + quarantine** — a crash-looping slot stops flapping
   after ``restart_budget`` consecutive failures and is quarantined; the
   pool keeps serving on its remaining slots and says so via ``health``.
@@ -28,6 +29,8 @@ The contracts under test:
 
 import asyncio
 import json
+import multiprocessing
+import pickle
 import shutil
 import socket
 import threading
@@ -49,10 +52,12 @@ from repro.serving import (
     ServiceConfig,
     ServiceError,
     WorkerConfig,
+    WorkerCrashError,
     WorkerPool,
     WorkerTimeoutError,
     stage_plans,
 )
+from repro.serving.worker import _WorkerHandle
 from repro.testing.faults import failpoints
 from repro.workloads import prefix_workload, wrelated
 
@@ -83,6 +88,36 @@ def _worker_config(manifest, tmp_path, **overrides):
     )
     fields.update(overrides)
     return WorkerConfig(**fields)
+
+
+class _StubProcess:
+    """The process half of a worker handle whose pipe the test drives."""
+
+    pid = 0
+
+    def is_alive(self):
+        return False
+
+    def kill(self):
+        pass
+
+    def join(self, timeout=None):
+        pass
+
+
+class _CorruptNextFrame:
+    """A worker's pipe end that flips the first byte of every frame it
+    reads, so the frame no longer unpickles."""
+
+    def __init__(self, connection):
+        self._connection = connection
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+    def recv(self):
+        frame = self._connection.recv_bytes()
+        return pickle.loads(b"\x00" + frame[1:])
 
 
 def _wait_for(predicate, timeout=20.0, interval=0.05):
@@ -150,6 +185,48 @@ class TestSupervision:
             assert _wait_for(lambda: pool.health()["crashes"] == 1)
             assert _wait_for(lambda: pool.health()["alive"] == 1)
             assert pool.submit(("ping",))[0] == "ok"
+        finally:
+            pool.shutdown()
+            store.unlink()
+
+    def test_garbage_frame_is_a_worker_death(self):
+        """Every read of the worker pipe — request, heartbeat, retire —
+        treats a frame that does not unpickle as the worker's death."""
+        parent_end, worker_end = multiprocessing.Pipe()
+        handle = _WorkerHandle(_StubProcess(), parent_end, 0, None, 0)
+        worker_end.send_bytes(b"\x00 not a pickle")
+        with pytest.raises(WorkerCrashError) as excinfo:
+            handle.request(("ping",), deadline=time.monotonic() + 5.0)
+        assert not isinstance(excinfo.value, WorkerTimeoutError)
+        assert excinfo.value.delivered is True
+        assert isinstance(excinfo.value.__cause__, pickle.UnpicklingError)
+        worker_end.send_bytes(b"\x00 not a pickle")
+        assert handle.heartbeat(timeout=5.0) is False
+        worker_end.send_bytes(b"\x00 not a pickle")
+        handle.stop(timeout=5.0)  # retires quietly
+        assert handle.dead
+        worker_end.close()
+
+    def test_garbage_reply_kills_and_respawns_the_worker(
+        self, plans_dir, data, tmp_path
+    ):
+        store, manifest = stage_plans(plans_dir, data)
+        pool = WorkerPool(
+            _worker_config(manifest, tmp_path), workers=1, heartbeat_interval=60.0
+        )
+        try:
+            handle = pool._slots[0].handle
+            victim = handle.process
+            handle.connection = _CorruptNextFrame(handle.connection)
+            with pytest.raises(WorkerCrashError) as excinfo:
+                pool.submit(("ping",))
+            assert excinfo.value.delivered is True
+            victim.join(10.0)
+            assert not victim.is_alive()  # killed, not left running
+            reply = pool.submit(("ping",))  # served by the respawned slot
+            assert reply[0] == "ok" and reply[1]["pid"] != victim.pid
+            health = pool.health()
+            assert health["crashes"] == 1 and health["restarts"] == 1
         finally:
             pool.shutdown()
             store.unlink()

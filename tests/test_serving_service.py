@@ -9,7 +9,9 @@ The contracts under test:
   one tenant's releases never move another's budget.
 * **Coalescer semantics** — request order is preserved within a batch,
   batch budget refusal degrades to sequential admission, and ``drain``
-  serves everything accepted before shutdown.
+  serves everything accepted before shutdown. With no linger a burst
+  still forms one batch, arrivals behind a tenant's in-flight batch join
+  one follow-up batch, and a tenant never has two batches in flight.
 * **Crash safety** — a worker killed mid-spend leaves at most a dangling
   intent (never a committed overcharge), and the service keeps serving.
 * **Replay bit-identity** — after any amount of multi-worker concurrency,
@@ -22,7 +24,10 @@ and shares the staged plan directory across tests.
 """
 
 import asyncio
+import json
 import multiprocessing
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -117,7 +122,42 @@ class TestSharedPlans:
 # --------------------------------------------------------------------- #
 # Worker pool
 # --------------------------------------------------------------------- #
+def _journal_pids(path):
+    """The pids of the processes that journaled each intent at ``path``
+    (transaction ids start with the writer's pid)."""
+    return [
+        json.loads(line)["txn"].split("-")[0]
+        for line in path.read_text().splitlines()
+        if json.loads(line)["op"] == "intent"
+    ]
+
+
 class TestWorkerPool:
+    def test_tenant_executes_stay_on_one_free_worker(self, plans_dir, data, tmp_path):
+        """A tenant's next execute goes to the worker that served its last
+        one when that worker is free, so no worker syncs records another
+        wrote; a new tenant takes the longest-idle worker."""
+        store, manifest = stage_plans(plans_dir, data)
+        pool = WorkerPool(
+            WorkerConfig(
+                manifest=manifest, ledger_root=tmp_path / "ledgers",
+                total_epsilon=1.0, seed=5,
+            ),
+            workers=2,
+        )
+        try:
+            for _ in range(3):
+                assert pool.submit(("execute", "alice", "related", [(0.05, {})]))[0] == "ok"
+            assert pool.submit(("execute", "bob", "related", [(0.05, {})]))[0] == "ok"
+            assert pool.submit(("execute", "alice", "related", [(0.05, {})]))[0] == "ok"
+        finally:
+            pool.shutdown()
+            store.unlink()
+        alice = _journal_pids(tmp_path / "ledgers" / "alice.journal")
+        bob = _journal_pids(tmp_path / "ledgers" / "bob.journal")
+        assert len(alice) == 4 and len(set(alice)) == 1
+        assert bob != alice[:1]
+
     def test_execute_budget_and_tenant_isolation(self, plans_dir, data, tmp_path):
         store, manifest = stage_plans(plans_dir, data)
         pool = WorkerPool(
@@ -260,6 +300,132 @@ class TestCoalescer:
         coalescer, results = asyncio.run(scenario())
         assert len(results) == 3 and all(r["epsilon"] == 0.01 for r in results)
         assert coalescer.batches_flushed == 1
+
+
+class _GatedPool:
+    """Worker-pool stand-in whose dispatches block until the test opens
+    their gate (``release(i)``); tracks the peak number of batches each
+    tenant has in flight at once."""
+
+    def __init__(self, gated=True):
+        self.commands = []
+        self.gates = []
+        self.peak_inflight = {}
+        self._inflight = {}
+        self._gated = gated
+        self._lock = threading.Lock()
+
+    def submit(self, command, timeout=None, retry_delivered=False):
+        _, tenant, plan_name, requests = command
+        gate = threading.Event()
+        with self._lock:
+            self.commands.append(command)
+            self.gates.append(gate)
+            self._inflight[tenant] = self._inflight.get(tenant, 0) + 1
+            self.peak_inflight[tenant] = max(
+                self.peak_inflight.get(tenant, 0), self._inflight[tenant]
+            )
+        if self._gated:
+            gate.wait(10.0)
+        else:
+            time.sleep(0.005)  # long enough for batches to overlap
+        with self._lock:
+            self._inflight[tenant] -= 1
+        return ("ok", [{"tenant": tenant, "epsilon": r[0]} for r in requests])
+
+    def release(self, index):
+        self.gates[index].set()
+
+    def batch_sizes(self):
+        return [len(command[3]) for command in self.commands]
+
+
+async def _until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.002)
+
+
+class TestBurstFlush:
+    """The default ``max_wait=0``: no timer, the end of a burst flushes."""
+
+    def test_burst_forms_one_batch(self):
+        async def scenario():
+            pool = _GatedPool()
+            coalescer = Coalescer(pool, max_batch=32)
+            assert coalescer.max_wait == 0.0
+            tasks = [
+                asyncio.ensure_future(coalescer.submit("alice", "related", 0.01 * i))
+                for i in range(1, 6)
+            ]
+            await _until(lambda: len(pool.commands) == 1)
+            pool.release(0)
+            results = await asyncio.gather(*tasks)
+            return pool, results
+
+        pool, results = asyncio.run(scenario())
+        assert pool.batch_sizes() == [5]
+        assert [r["epsilon"] for r in results] == [0.01 * i for i in range(1, 6)]
+
+    def test_arrivals_behind_inflight_batch_join_one_follow_up(self):
+        async def scenario():
+            pool = _GatedPool()
+            coalescer = Coalescer(pool, max_batch=32)
+            first = [
+                asyncio.ensure_future(coalescer.submit("alice", "related", 0.01))
+                for _ in range(3)
+            ]
+            await _until(lambda: len(pool.commands) == 1)
+            # Two separate bursts arrive while alice's batch is in flight;
+            # bob, another tenant, is not held back by it.
+            later = [
+                asyncio.ensure_future(coalescer.submit("alice", "related", 0.02))
+                for _ in range(2)
+            ]
+            await asyncio.sleep(0.02)
+            later += [
+                asyncio.ensure_future(coalescer.submit("alice", "related", 0.03))
+                for _ in range(4)
+            ]
+            bob = asyncio.ensure_future(coalescer.submit("bob", "related", 0.05))
+            await _until(lambda: len(pool.commands) == 2)
+            await asyncio.sleep(0.05)
+            dispatched_while_gated = [c[1] for c in pool.commands]
+            pool.release(0)
+            pool.release(1)
+            await _until(lambda: len(pool.commands) == 3)
+            pool.release(2)
+            await asyncio.gather(*first, *later, bob)
+            return pool, coalescer, dispatched_while_gated
+
+        pool, coalescer, dispatched_while_gated = asyncio.run(scenario())
+        # Nothing of alice's dispatched behind her in-flight batch.
+        assert dispatched_while_gated == ["alice", "bob"]
+        # Both later bursts waited in one open bucket: one follow-up batch.
+        assert pool.batch_sizes() == [3, 1, 6]
+        assert [c[1] for c in pool.commands] == ["alice", "bob", "alice"]
+        assert coalescer.batches_flushed == 3
+
+    def test_one_batch_in_flight_per_tenant(self):
+        """One hot tenant with pipelined requests: full buckets queue behind
+        its in-flight batch instead of contending for its ledger lock from
+        several workers at once (the cause of ``LedgerBusyError`` under a
+        single hot tenant)."""
+
+        async def scenario():
+            pool = _GatedPool(gated=False)
+            coalescer = Coalescer(pool, max_batch=4, max_concurrent=4)
+            results = await asyncio.gather(
+                *[coalescer.submit("hot", "related", 0.01) for _ in range(32)],
+                *[coalescer.submit("cool", "related", 0.01) for _ in range(8)],
+            )
+            return pool, results
+
+        pool, results = asyncio.run(scenario())
+        assert len(results) == 40
+        assert sum(pool.batch_sizes()) == 40
+        assert pool.peak_inflight == {"hot": 1, "cool": 1}
 
 
 # --------------------------------------------------------------------- #
